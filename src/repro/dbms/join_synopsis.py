@@ -36,6 +36,7 @@ from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
+from repro.storage.records import FixedRecordCodec
 
 __all__ = ["JoinedRow", "JoinedRowCodec", "JoinSynopsis"]
 
@@ -53,18 +54,12 @@ class JoinedRow:
     dim_value: int
 
 
-class JoinedRowCodec:
+class JoinedRowCodec(FixedRecordCodec[JoinedRow]):
     """Packs a :class:`JoinedRow` (three 64-bit ints) into one record."""
 
     def __init__(self, record_size: int = 32) -> None:
-        if record_size < 24:
-            raise ValueError("record_size must hold three 8-byte integers")
-        self._record_size = record_size
+        super().__init__(record_size, 24, "three 8-byte integers")
         self._padding = b"\x00" * (record_size - 24)
-
-    @property
-    def record_size(self) -> int:
-        return self._record_size
 
     def encode(self, row: JoinedRow) -> bytes:
         return (
@@ -73,10 +68,7 @@ class JoinedRowCodec:
         )
 
     def decode(self, record: bytes) -> JoinedRow:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
+        self._check_record(record)
         fact_key, fact_value, dim_value = struct.unpack_from("<qqq", record)
         return JoinedRow(fact_key, fact_value, dim_value)
 

@@ -41,31 +41,23 @@ from repro.rng.random_source import RandomSource
 from repro.storage.cost_model import CostModel
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.files import LogFile, SampleFile
+from repro.storage.records import FixedRecordCodec
 
 __all__ = ["RowRecordCodec", "SampleView"]
 
 
-class RowRecordCodec:
+class RowRecordCodec(FixedRecordCodec[Row]):
     """Packs a ``Row`` (two 64-bit integers) into one fixed-size record."""
 
     def __init__(self, record_size: int = 32) -> None:
-        if record_size < 16:
-            raise ValueError("record_size must hold two 8-byte integers")
-        self._record_size = record_size
+        super().__init__(record_size, 16, "two 8-byte integers")
         self._padding = b"\x00" * (record_size - 16)
-
-    @property
-    def record_size(self) -> int:
-        return self._record_size
 
     def encode(self, row: Row) -> bytes:
         return struct.pack("<qq", row.key, row.value) + self._padding
 
     def decode(self, record: bytes) -> Row:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
+        self._check_record(record)
         key, value = struct.unpack_from("<qq", record)
         return Row(key, value)
 

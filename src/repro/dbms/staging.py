@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.dbms.table import Row, Table
 from repro.storage.files import LogFile
+from repro.storage.records import FixedRecordCodec
 
 __all__ = ["ChangeKind", "Change", "ChangeRecordCodec", "StagingTable"]
 
@@ -34,18 +35,12 @@ class Change:
     row: Row
 
 
-class ChangeRecordCodec:
+class ChangeRecordCodec(FixedRecordCodec[Change]):
     """Packs ``(kind, key, value)`` into one fixed-size record."""
 
     def __init__(self, record_size: int = 32) -> None:
-        if record_size < 17:
-            raise ValueError("record_size must hold kind + two 8-byte integers")
-        self._record_size = record_size
+        super().__init__(record_size, 17, "kind + two 8-byte integers")
         self._padding = b"\x00" * (record_size - 17)
-
-    @property
-    def record_size(self) -> int:
-        return self._record_size
 
     def encode(self, change: Change) -> bytes:
         return (
@@ -54,10 +49,7 @@ class ChangeRecordCodec:
         )
 
     def decode(self, record: bytes) -> Change:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
+        self._check_record(record)
         kind, key, value = struct.unpack_from("<Bqq", record)
         return Change(ChangeKind(kind), Row(key, value))
 

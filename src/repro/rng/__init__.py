@@ -5,8 +5,9 @@ state can be captured and restored so that the exact same variate sequence
 can be generated twice without buffering it.  This subpackage provides:
 
 * :class:`~repro.rng.mt19937.MT19937` -- the Mersenne Twister generator
-  ([14] in the paper) implemented from scratch with O(1)-cost state
-  snapshot/restore.
+  ([14] in the paper) with explicit seeding and state snapshot/restore;
+  it draws through CPython's C Mersenne Twister, and a pure-Python
+  MT19937 in ``tests/rng/`` serves as its oracle.
 * :class:`~repro.rng.random_source.RandomSource` -- the high-level facade
   used throughout the library (uniform variates, integers, geometric
   variates, reservoir skips).

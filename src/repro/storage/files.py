@@ -71,6 +71,14 @@ class _BlockStore:
         record = self._codec.encode(value)
         return block_data[:offset] + record + block_data[offset + len(record) :]
 
+    def _encode_block(self, values: Sequence[T]) -> bytes:
+        """One block image holding ``values``, zero-padded to the block size."""
+        return self._codec.encode_block(values).ljust(self._device.block_size, b"\x00")
+
+    def _records_in_block(self, block: int, total: int) -> int:
+        """How many of ``total`` elements lie in ``block``."""
+        return min(self._per_block, total - block * self._per_block)
+
 
 class SampleFile(_BlockStore):
     """The disk-resident sample: ``M`` elements at fixed positions.
@@ -117,11 +125,10 @@ class SampleFile(_BlockStore):
             raise ValueError(
                 f"initialize() needs exactly {self._size} values, got {len(values)}"
             )
+        per_block = self.elements_per_block
         for block_index in range(self.block_count):
-            start = block_index * self.elements_per_block
-            chunk = values[start : start + self.elements_per_block]
-            data = b"".join(self._codec.encode(v) for v in chunk)
-            data = data.ljust(self._device.block_size, b"\x00")
+            start = block_index * per_block
+            data = self._encode_block(values[start : start + per_block])
             self._charge_write(block_index, data, sequential=True)
         self._last_random_write_block = None
 
@@ -165,8 +172,10 @@ class SampleFile(_BlockStore):
         """
         blocks_written = 0
         current_block = -1
-        current_data: bytes | None = None
+        current_data: bytearray | None = None
         previous_index = -1
+        size = self._codec.record_size
+        encode = self._codec.encode
         for index, value in items:
             self._check_index(index)
             if index <= previous_index:
@@ -178,27 +187,24 @@ class SampleFile(_BlockStore):
             block, offset = self._locate(index)
             if block != current_block:
                 if current_data is not None:
-                    self._charge_write(current_block, current_data, sequential=True)
+                    self._charge_write(current_block, bytes(current_data), sequential=True)
                     blocks_written += 1
                 current_block = block
-                current_data = self._device.peek_block(block)
-            current_data = self._patch(current_data, offset, value)
+                current_data = bytearray(self._device.peek_block(block))
+            current_data[offset : offset + size] = encode(value)
         if current_data is not None:
-            self._charge_write(current_block, current_data, sequential=True)
+            self._charge_write(current_block, bytes(current_data), sequential=True)
             blocks_written += 1
         return blocks_written
 
     def scan(self) -> Iterator[T]:
         """Yield every element front to back: one sequential read per block."""
         declare_scan(self._device, 0, self.block_count)
-        emitted = 0
         for block_index in range(self.block_count):
             data = self._charge_read(block_index, sequential=True)
-            for slot in range(self.elements_per_block):
-                if emitted >= self._size:
-                    return
-                yield self._decode_at(data, slot * self._codec.record_size)
-                emitted += 1
+            yield from self._codec.decode_block(
+                data, self._records_in_block(block_index, self._size)
+            )
 
     def resize(self, new_size: int) -> None:
         """Shrink the logical sample size (Sec. 5 deletion handling).
@@ -222,7 +228,13 @@ class SampleFile(_BlockStore):
 
     def peek_all(self) -> list[T]:
         """Return all elements without charging I/O (test/verification aid)."""
-        return [self.peek(i) for i in range(self._size)]
+        values: list[T] = []
+        for block_index in range(self.block_count):
+            values += self._codec.decode_block(
+                self._device.peek_block(block_index),
+                self._records_in_block(block_index, self._size),
+            )
+        return values
 
     # -- internals ---------------------------------------------------------
 
@@ -344,10 +356,7 @@ class LogFile(_BlockStore):
         self._next_block, tail = divmod(element_count, self.elements_per_block)
         if tail:
             data = self._device.read_block(self._next_block, sequential=False)
-            self._buffer = [
-                self._decode_at(data, slot * self._codec.record_size)
-                for slot in range(tail)
-            ]
+            self._buffer = self._codec.decode_block(data, tail)
             self._flushed_partial = True
         # Continuing the same generation: no rewind seek on the next write
         # (an empty generation still owes its initial seek).
@@ -368,10 +377,7 @@ class LogFile(_BlockStore):
         declare_scan(self._device, 0, self.block_count)
         values: list[T] = []
         for block_index in range(self.block_count):
-            data = self._device.read_block(block_index, sequential=True)
-            remaining = self._count - len(values)
-            for slot in range(min(self.elements_per_block, remaining)):
-                values.append(self._decode_at(data, slot * self._codec.record_size))
+            values += self._read_block_records(block_index)
         return values
 
     def read_indexed_sorted(self, indices: Sequence[int]) -> list[T]:
@@ -384,8 +390,9 @@ class LogFile(_BlockStore):
         declare_scan(self._device, 0, self.block_count)
         values: list[T] = []
         current_block = -1
-        data = b""
+        records: list[T] = []
         previous = -1
+        per_block = self.elements_per_block
         for index in indices:
             if not 0 <= index < self._count:
                 raise IndexError(f"log index {index} out of range [0, {self._count})")
@@ -395,11 +402,11 @@ class LogFile(_BlockStore):
                     f"({index} after {previous})"
                 )
             previous = index
-            block, offset = self._locate(index)
+            block, slot = divmod(index, per_block)
             if block != current_block:
-                data = self._device.read_block(block, sequential=True)
+                records = self._read_block_records(block)
                 current_block = block
-            values.append(self._decode_at(data, offset))
+            values.append(records[slot])
         return values
 
     def open_sequential_reader(self) -> "SequentialLogReader":
@@ -442,12 +449,13 @@ class LogFile(_BlockStore):
 
     # -- internals ---------------------------------------------------------
 
-    def _read_block_charged(self, block: int) -> bytes:
-        return self._device.read_block(block, sequential=True)
+    def _read_block_records(self, block: int) -> list[T]:
+        """One sequential read of ``block``, decoded to its logged elements."""
+        data = self._device.read_block(block, sequential=True)
+        return self._codec.decode_block(data, self._records_in_block(block, self._count))
 
     def _write_tail_block(self, values: Sequence[T], partial: bool = False) -> None:
-        data = b"".join(self._codec.encode(v) for v in values)
-        data = data.ljust(self._device.block_size, b"\x00")
+        data = self._encode_block(values)
         sequential = not self._repositioned
         self._device.write_block(self._next_block, data, sequential)
         self._repositioned = False
@@ -463,12 +471,12 @@ class SequentialLogReader:
     touched charges one sequential read.
     """
 
-    __slots__ = ("_log", "_current_block", "_data", "_previous")
+    __slots__ = ("_log", "_current_block", "_records", "_previous")
 
     def __init__(self, log: LogFile) -> None:
         self._log = log
         self._current_block = -1
-        self._data = b""
+        self._records: list = []
         self._previous = -1
 
     def read(self, index: int) -> T:
@@ -480,8 +488,8 @@ class SequentialLogReader:
                 f"({index} after {self._previous})"
             )
         self._previous = index
-        block, offset = self._log._locate(index)
+        block, slot = divmod(index, self._log.elements_per_block)
         if block != self._current_block:
-            self._data = self._log._read_block_charged(block)
+            self._records = self._log._read_block_records(block)
             self._current_block = block
-        return self._log._decode_at(self._data, offset)
+        return self._records[slot]

@@ -203,9 +203,7 @@ class MaintenanceCheckpoint:
         rng._seed = self.rng_seed
         from repro.rng.mt19937 import MT19937
 
-        generator = MT19937.__new__(MT19937)
-        generator.setstate(self.rng_state)
-        rng._gen = generator
+        rng._gen = MT19937.from_state(self.rng_state)
         rng._spawn_count = self.rng_spawn_count
         rng._w = self.rng_w
         return rng

@@ -12,6 +12,7 @@ against the trace: every answered query records the staleness it was
 served at, and for bounded queries that number can never exceed the bound.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve.session import Freshness
@@ -108,6 +109,52 @@ def test_bounded_queries_never_exceed_bound_for_any_kind(
         assert bounded
 
 
+def build_backlog(maintainer, pending: int) -> None:
+    """Insert fresh values until the candidate log holds ``pending`` elements.
+
+    Each ``insert_many`` batch ends exactly at the sampler's next accepted
+    position, so the loop stops after the same element as one ``insert``
+    per value would, in the same state (see the test below).
+    """
+    logger = maintainer._candidate_logger
+    value = maintainer.dataset_size
+    while maintainer.pending_log_elements < pending:
+        next_accept = logger.pending_accept
+        count = 1 if next_accept is None else next_accept - maintainer.dataset_size
+        maintainer.insert_many(range(value, value + count))
+        value += count
+
+
+@pytest.mark.parametrize("seed,pending", [(3, 0), (3, 1), (11, 97), (2**32, 150)])
+def test_batch_built_backlog_equals_scalar_built(seed, pending):
+    """build_backlog leaves the maintainer exactly where one insert per
+    value leaves it: same log, sample, PRNG state and access counts."""
+    from repro.serve.catalog import SampleCatalog
+
+    twins = []
+    for batched in (True, False):
+        catalog = SampleCatalog()
+        catalog.create("t", sample_size=32, seed=seed)
+        maintainer = catalog.get("t")
+        if batched:
+            build_backlog(maintainer, pending)
+        else:
+            value = maintainer.dataset_size
+            while maintainer.pending_log_elements < pending:
+                maintainer.insert(value)
+                value += 1
+        twins.append(
+            (
+                maintainer.checkpoint_state(),
+                maintainer._candidate_logger.log.peek_all(),
+                maintainer.sample.peek_all(),
+                maintainer.stats,
+                catalog.cost_model.stats,
+            )
+        )
+    assert twins[0] == twins[1]
+
+
 @given(
     seed=st.integers(0, 2**32),
     pending=st.integers(min_value=0, max_value=300),
@@ -123,10 +170,7 @@ def test_read_path_enforces_bound_directly(seed, pending, bound):
     catalog = SampleCatalog()
     catalog.create("t", sample_size=32, seed=seed)
     maintainer = catalog.get("t")
-    value = maintainer.dataset_size
-    while maintainer.pending_log_elements < pending:
-        maintainer.insert(value)
-        value += 1
+    build_backlog(maintainer, pending)
     backlog = maintainer.pending_log_elements
     answer = QuerySession(catalog).execute("t", Freshness.bounded(bound))
     assert answer.staleness <= bound
