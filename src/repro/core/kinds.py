@@ -10,16 +10,18 @@ generalisation: a :class:`SampleKind` captures, per scheme,
   sequence) and which codec serialises it;
 * the **acceptance test** run at insert time against *stale* state (state
   as of the last refresh), which decides what enters the candidate log;
-* the **replay** run at refresh time, which folds logged candidates into
-  the on-disk sample and picks victim slots.
+* the **victim rule** at refresh time: uniform slots the refresh
+  algorithm draws itself, or a **replay** that folds logged candidates
+  into the on-disk sample and picks victim slots by content.
 
 Deferred-maintenance proof obligations (checked bit-exactly by
 ``tests/properties/test_prop_kinds.py``; see ``docs/sample_kinds.md``):
 
-* **uniform** -- the classic scheme; acceptance via Vitter skips, victim
-  slots drawn at refresh.  Handled by the existing
-  :class:`~repro.core.logs.CandidateLogger` path; :class:`UniformKind`
-  is a marker so catalogs and manifests can name it.
+* **uniform** (:class:`UniformKind`) -- the paper's scheme: acceptance
+  with probability ``M/(|R|+1)`` via Vitter skips, so a batch costs
+  O(accepted) Python work; victim slots are drawn uniformly by the
+  refresh algorithm itself, which is what lets Array/Stack/Nomem read
+  only the *final* candidate of each slot.
 * **weighted** (:class:`WeightedKind`) -- A-ES exponential keys: each
   record draws exactly one uniform and gets the key ``-ln(1-u)/w``; the
   sample holds the ``M`` *smallest* keys.  The insert-time acceptance
@@ -36,57 +38,41 @@ Deferred-maintenance proof obligations (checked bit-exactly by
   from the log: only the last ``min(pending, W)`` logged rows can be
   live, and each maps to the fixed slot ``seq mod W``.
 
-Composite kinds (one logical sample made of many per-group reservoirs)
-are registered in :data:`COMPOSITE_KINDS` and built with
-:func:`make_composite`; they cannot live in a single
-:class:`~repro.storage.files.SampleFile` and are therefore rejected by
-:func:`make_kind` with a pointer to the composite factory.
+Every kind offers one batch acceptance call, :meth:`SampleKind.accept_many`,
+which the single :class:`~repro.core.logs.CandidateLogger` drives.  The
+one uniform/non-uniform distinction left is :attr:`SampleKind.random_victims`:
+whether the refresh algorithm draws victim slots itself (uniform) or
+replays the kind's content-dependent victim rule (weighted, window).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
-from repro.core.logs import CandidateLogSource
+from repro.core.reservoir import ReservoirSampler, build_reservoir
 from repro.rng.random_source import RandomSource
-from repro.storage.files import LogFile
 from repro.storage.records import (
     IntRecordCodec,
     RecordCodec,
     TimestampedRecordCodec,
     WeightedRecordCodec,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.stratified import StratifiedSampleManager
-    from repro.storage.superblock import MaintenanceCheckpoint
+from repro.storage.superblock import KINDS, MaintenanceCheckpoint
 
 __all__ = [
     "SampleKind",
     "UniformKind",
     "WeightedKind",
     "WindowKind",
-    "KindCandidateLogger",
     "KINDS",
-    "COMPOSITE_KINDS",
     "DEFAULT_WEIGHT_MOD",
     "parse_kind_spec",
     "make_kind",
-    "make_composite",
+    "checkpoint_kind_spec",
     "eager_oracle",
 ]
-
-#: Registered single-file kinds, in manifest index order.  The position
-#: of a name in this tuple is serialised into superblock manifests
-#: (version 3+), so entries must never be reordered, only appended.
-KINDS = ("uniform", "weighted", "window")
-
-#: Registered composite kinds: one logical sample spread over many
-#: per-group reservoirs.  Built via :func:`make_composite`, not
-#: :func:`make_kind` -- they have no single-file row representation.
-COMPOSITE_KINDS = ("stratified",)
 
 DEFAULT_WEIGHT_MOD = 16
 
@@ -95,12 +81,18 @@ class SampleKind(Protocol):
     """The per-scheme contract the maintenance stack drives.
 
     A kind owns the mutable per-sample state that insert-time acceptance
-    depends on (dataset size, stale threshold, next arrival sequence).
-    One kind instance belongs to one sample; the candidate logger and the
-    refresh algorithm share it.
+    depends on (dataset size, pending skip, stale threshold, next arrival
+    sequence).  One kind instance belongs to one sample; the candidate
+    logger and the refresh algorithm share it.  The replay methods
+    (``draw``/``accept``/``replay_start``/``begin_replay``/``commit_replay``)
+    exist only on kinds whose :attr:`random_victims` is False.
     """
 
     name: str
+
+    #: True when the refresh algorithm draws victim slots uniformly
+    #: itself; False when it must replay the kind's victim rule
+    random_victims: bool
 
     @property
     def capacity(self) -> int:  # pragma: no cover - protocol
@@ -119,7 +111,7 @@ class SampleKind(Protocol):
     def codec(self, record_size: int) -> RecordCodec:  # pragma: no cover
         ...
 
-    def value_of(self, row) -> int:  # pragma: no cover - protocol
+    def values(self, rows: list) -> list:  # pragma: no cover - protocol
         ...
 
     def population(self) -> int:  # pragma: no cover - protocol
@@ -131,63 +123,98 @@ class SampleKind(Protocol):
     def build_initial(self, dataset: Sequence[int], rng: RandomSource) -> list:
         ...  # pragma: no cover - protocol
 
-    def draw(self, element: int, rng: RandomSource):  # pragma: no cover
+    def accept_many(
+        self, elements: Sequence, rng: RandomSource, max_accepts: int | None = None
+    ) -> tuple[int, list]:  # pragma: no cover - protocol
         ...
 
-    def accept(self, record) -> bool:  # pragma: no cover - protocol
+    def accept_one(self, element, rng: RandomSource):  # pragma: no cover
         ...
 
-    def replay_start(self, total: int) -> int:  # pragma: no cover - protocol
+    def checkpoint_fields(self) -> dict:  # pragma: no cover - protocol
         ...
 
-    def begin_replay(self, rows: list):  # pragma: no cover - protocol
-        ...
-
-    def commit_replay(self, replay) -> None:  # pragma: no cover - protocol
-        ...
-
-    def checkpoint_fields(self) -> tuple[int, float]:  # pragma: no cover
-        ...
-
-    def restore_state(self, checkpoint: "MaintenanceCheckpoint") -> None:
+    def restore_state(self, checkpoint: MaintenanceCheckpoint) -> None:
         ...  # pragma: no cover - protocol
 
     def plausible(self, rows: Sequence, seen: int) -> bool:  # pragma: no cover
         ...
 
 
+class _ReplayKind:
+    """What weighted and window share: ``(value, payload)`` rows, victims
+    picked by a content replay, and element-wise acceptance.
+
+    Acceptance draws per element -- one uniform per record for weighted,
+    none for window -- and the batch call stops right after the
+    ``max_accepts``-th acceptance like uniform skip jumps, so refresh
+    policies fire at identical points under every kind and batch inserts
+    consume exactly the draws of scalar ones.
+    """
+
+    random_victims = False
+
+    def values(self, rows: list) -> list:
+        return [row[0] for row in rows]
+
+    def accept_many(
+        self, elements: Sequence, rng: RandomSource, max_accepts: int | None = None
+    ) -> tuple[int, list]:
+        draw = self.draw
+        accept = self.accept
+        records: list = []
+        consumed = 0
+        for element in elements:
+            consumed += 1
+            record = draw(element, rng)
+            if accept(record):
+                records.append(record)
+                if max_accepts is not None and len(records) >= max_accepts:
+                    break
+        return consumed, records
+
+    def accept_one(self, element, rng: RandomSource):
+        """Scalar acceptance: the log record, or None when rejected."""
+        record = self.draw(element, rng)
+        return record if self.accept(record) else None
+
+
 # ---------------------------------------------------------------------------
-# Uniform (the classic scheme; a marker for catalogs and manifests)
+# Uniform (the paper's scheme: Vitter-skip acceptance, random victims)
 # ---------------------------------------------------------------------------
 
 
 class UniformKind:
-    """The paper's uniform reservoir, as a registry entry.
+    """The paper's uniform reservoir.
 
-    Maintenance of uniform samples stays on the pre-kind code path
-    (:class:`~repro.core.logs.CandidateLogger` + the unmodified refresh
-    algorithms) -- this class only gives that path a name, parameters and
-    a codec so kind-aware catalogs and manifests treat "uniform" like any
-    other kind.  Runs configured with it are byte-identical to runs that
-    never mention kinds at all.
+    Owns the acceptance state through a
+    :class:`~repro.core.reservoir.ReservoirSampler`: the dataset size
+    ``|R|``, the pending skip decision and the skip method.  Rows are the
+    bare values.  Victim slots are not the kind's business: the refresh
+    algorithm draws them uniformly (:attr:`random_victims`), so there is
+    no replay here.
     """
 
     name = "uniform"
+    random_victims = True
 
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("sample capacity must be positive")
-        self._capacity = capacity
+    def __init__(self, capacity: int, seen: int = 0, skip_method: str = "auto") -> None:
+        self._sampler = ReservoirSampler(
+            capacity, None, initial_size=seen, skip_method=skip_method
+        )
 
     @property
     def capacity(self) -> int:
-        return self._capacity
+        return self._sampler.capacity
 
     @property
     def seen(self) -> int:
-        # The reservoir sampler owns the dataset-size counter on the
-        # uniform path; the kind object is never consulted for it.
-        raise NotImplementedError("uniform maintenance tracks seen in the sampler")
+        return self._sampler.seen
+
+    @property
+    def sampler(self) -> ReservoirSampler:
+        """The acceptance state; immediate maintenance offers through it."""
+        return self._sampler
 
     def params(self) -> dict:
         return {}
@@ -198,17 +225,52 @@ class UniformKind:
     def codec(self, record_size: int) -> RecordCodec:
         return IntRecordCodec(record_size)
 
-    def value_of(self, row) -> int:
-        return row
+    def values(self, rows: list) -> list:
+        return rows
+
+    def population(self) -> int:
+        return self._sampler.seen
 
     def effective_staleness(self, pending: int) -> int:
         return pending
 
-    def checkpoint_fields(self) -> tuple[int, float]:
-        return 0, 0.0
+    def build_initial(self, dataset: Sequence[int], rng: RandomSource) -> list:
+        """One reservoir pass over the dataset; returns the sample rows.
 
-    def restore_state(self, checkpoint) -> None:
-        return None
+        Maintenance then starts with no pending skip: the build's own
+        sampler, and any skip it drew, are discarded.
+        """
+        sampler = self._sampler
+        rows, seen = build_reservoir(
+            dataset, sampler.capacity, rng, skip_method=sampler.skip_method
+        )
+        sampler.restore(seen, None)
+        return rows
+
+    def accept_many(
+        self, elements: Sequence, rng: RandomSource, max_accepts: int | None = None
+    ) -> tuple[int, list]:
+        """Skip-jump from candidate to candidate: O(accepted) Python work."""
+        sampler = self._sampler
+        sampler.rng = rng
+        consumed, accepted = sampler.test_many(len(elements), max_accepts)
+        return consumed, [elements[i] for i in accepted]
+
+    def accept_one(self, element, rng: RandomSource):
+        """Scalar acceptance: the element itself, or None when rejected."""
+        sampler = self._sampler
+        sampler.rng = rng
+        return element if sampler.test() else None
+
+    def checkpoint_fields(self) -> dict:
+        return {
+            "kind_param": 0,
+            "kind_threshold": 0.0,
+            "pending_accept": self._sampler.pending_accept,
+        }
+
+    def restore_state(self, checkpoint: MaintenanceCheckpoint) -> None:
+        self._sampler.restore(checkpoint.dataset_size, checkpoint.pending_accept)
 
     def plausible(self, rows: Sequence, seen: int) -> bool:
         return all(isinstance(row, int) for row in rows)
@@ -264,7 +326,7 @@ class _WeightedReplay:
         return None
 
 
-class WeightedKind:
+class WeightedKind(_ReplayKind):
     """Weighted reservoir via A-ES exponential keys, one draw per record.
 
     A record of value ``v`` has weight ``w(v) = 1 + (v mod weight_mod)``
@@ -280,7 +342,6 @@ class WeightedKind:
     """
 
     name = "weighted"
-
     def __init__(self, capacity: int, weight_mod: int = DEFAULT_WEIGHT_MOD) -> None:
         if capacity <= 0:
             raise ValueError("sample capacity must be positive")
@@ -319,9 +380,6 @@ class WeightedKind:
 
     def codec(self, record_size: int) -> RecordCodec:
         return WeightedRecordCodec(record_size)
-
-    def value_of(self, row) -> int:
-        return row[0]
 
     def population(self) -> int:
         return self._seen
@@ -370,8 +428,12 @@ class WeightedKind:
         self.commit_replay(replay)
         return rows
 
-    def checkpoint_fields(self) -> tuple[int, float]:
-        return self._mod, self._threshold
+    def checkpoint_fields(self) -> dict:
+        return {
+            "kind_param": self._mod,
+            "kind_threshold": self._threshold,
+            "pending_accept": None,
+        }
 
     def restore_state(self, checkpoint) -> None:
         if checkpoint.kind_param != self._mod:
@@ -415,7 +477,7 @@ class _WindowReplay:
         return None
 
 
-class WindowKind:
+class WindowKind(_ReplayKind):
     """The last ``W`` rows of the stream (``W`` = the sample capacity).
 
     Fully deterministic: a row with arrival sequence ``s`` lives in slot
@@ -430,7 +492,6 @@ class WindowKind:
     """
 
     name = "window"
-
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("sample capacity must be positive")
@@ -453,9 +514,6 @@ class WindowKind:
 
     def codec(self, record_size: int) -> RecordCodec:
         return TimestampedRecordCodec(record_size)
-
-    def value_of(self, row) -> int:
-        return row[0]
 
     def population(self) -> int:
         return min(self._seen, self._capacity)
@@ -498,8 +556,12 @@ class WindowKind:
             replay.step(self.draw(value, rng))
         return rows
 
-    def checkpoint_fields(self) -> tuple[int, float]:
-        return self._capacity, 0.0
+    def checkpoint_fields(self) -> dict:
+        return {
+            "kind_param": self._capacity,
+            "kind_threshold": 0.0,
+            "pending_accept": None,
+        }
 
     def restore_state(self, checkpoint) -> None:
         if checkpoint.kind_param != self._capacity:
@@ -518,96 +580,6 @@ class WindowKind:
 
 
 # ---------------------------------------------------------------------------
-# Kind-aware candidate logging (the log phase for non-uniform kinds)
-# ---------------------------------------------------------------------------
-
-
-class KindCandidateLogger:
-    """Candidate logging driven by a :class:`SampleKind`.
-
-    Interface-compatible with :class:`~repro.core.logs.CandidateLogger`
-    (the uniform log phase), so :class:`~repro.core.maintenance.SampleMaintainer`
-    drives either without branching.  The kind runs the acceptance test
-    against its stale state and produces the full log record (value plus
-    kind payload); acceptance draws happen element-wise -- exactly one
-    per record for weighted, none for window -- so the batched path is
-    draw-for-draw identical to scalar inserts, like the biased logger in
-    :mod:`repro.core.acceptance`.
-    """
-
-    def __init__(self, log: LogFile, kind: SampleKind, rng: RandomSource) -> None:
-        if kind.seen < kind.capacity:
-            raise ValueError(
-                "kind candidate logging requires an existing full sample: "
-                f"seen {kind.seen} < capacity {kind.capacity}"
-            )
-        self._log = log
-        self._kind = kind
-        self._rng = rng
-
-    @property
-    def log(self) -> LogFile:
-        return self._log
-
-    @property
-    def kind(self) -> SampleKind:
-        return self._kind
-
-    @property
-    def dataset_size(self) -> int:
-        return self._kind.seen
-
-    @property
-    def sample_size(self) -> int:
-        return self._kind.capacity
-
-    @property
-    def pending_accept(self) -> None:
-        """Kind acceptance draws are eager; nothing pends between records."""
-        return None
-
-    def insert(self, element) -> bool:
-        """Log phase for one insertion; True if it became a candidate."""
-        record = self._kind.draw(element, self._rng)
-        if self._kind.accept(record):
-            self._log.append(record)
-            return True
-        return False
-
-    def insert_many(
-        self, elements: Sequence, max_accepts: int | None = None
-    ) -> tuple[int, int]:
-        """Batched log phase: element-wise draws, one bulk append.
-
-        Returns ``(consumed, accepted)`` with the same stop-after-the-
-        accepting-element quota semantics as the uniform logger, so
-        refresh policies fire at identical points under either path.
-        """
-        kind = self._kind
-        rng = self._rng
-        records: list = []
-        consumed = 0
-        for element in elements:
-            consumed += 1
-            record = kind.draw(element, rng)
-            if kind.accept(record):
-                records.append(record)
-                if max_accepts is not None and len(records) >= max_accepts:
-                    break
-        if records:
-            self._log.append_many(records)
-        return consumed, len(records)
-
-    def source(self) -> CandidateLogSource:
-        """The candidate source for the coming refresh."""
-        return CandidateLogSource(self._log)
-
-    def after_refresh(self) -> None:
-        """Reset the log for reuse (the refresh consumed it)."""
-        self._log.truncate()
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -616,29 +588,27 @@ def parse_kind_spec(spec: str) -> tuple[str, int | None]:
     """Split ``"name"`` / ``"name:param"`` into ``(name, param)``."""
     name, _, arg = spec.partition(":")
     name = name.strip()
-    if name not in KINDS and name not in COMPOSITE_KINDS:
-        known = KINDS + COMPOSITE_KINDS
-        raise ValueError(f"unknown sample kind {name!r} (known: {known})")
+    if name not in KINDS:
+        raise ValueError(f"unknown sample kind {name!r} (known: {KINDS})")
     if not arg:
         return name, None
     if name != "weighted":
         raise ValueError(f"kind {name!r} takes no parameter, got {arg!r}")
-    return name, int(arg)
+    try:
+        return name, int(arg)
+    except ValueError:
+        raise ValueError(
+            f"kind 'weighted' takes an integer weight modulus, got {arg!r}"
+        ) from None
 
 
 def make_kind(spec: str, capacity: int) -> SampleKind:
     """Build the kind a spec string names, bound to one sample's capacity.
 
     Specs: ``"uniform"``, ``"weighted"``, ``"weighted:MOD"`` (weight
-    modulus), ``"window"``.  Composite kinds are registered but cannot
-    be built here -- see :func:`make_composite`.
+    modulus), ``"window"``.
     """
     name, param = parse_kind_spec(spec)
-    if name in COMPOSITE_KINDS:
-        raise ValueError(
-            f"kind {name!r} is composite (one sample file cannot hold it); "
-            "build it with repro.core.kinds.make_composite()"
-        )
     if name == "uniform":
         return UniformKind(capacity)
     if name == "weighted":
@@ -648,21 +618,11 @@ def make_kind(spec: str, capacity: int) -> SampleKind:
     return WindowKind(capacity)
 
 
-def make_composite(name: str, **kwargs) -> "StratifiedSampleManager":
-    """Build a registered composite kind (currently ``stratified``).
-
-    A stratified sample is one bounded uniform reservoir *per group*,
-    each under its own deferred maintenance -- see
-    :class:`repro.core.stratified.StratifiedSampleManager`, whose
-    constructor arguments are forwarded verbatim.
-    """
-    if name not in COMPOSITE_KINDS:
-        raise ValueError(
-            f"unknown composite kind {name!r} (known: {COMPOSITE_KINDS})"
-        )
-    from repro.core.stratified import StratifiedSampleManager
-
-    return StratifiedSampleManager(**kwargs)
+def checkpoint_kind_spec(checkpoint: MaintenanceCheckpoint) -> str:
+    """The spec of the kind a manifest records (weighted keeps its modulus)."""
+    if checkpoint.kind_name == "weighted":
+        return f"weighted:{checkpoint.kind_param}"
+    return checkpoint.kind_name
 
 
 # ---------------------------------------------------------------------------

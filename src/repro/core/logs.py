@@ -6,9 +6,9 @@ log phase plus the two **candidate sources** that the refresh algorithms
 consume:
 
 * :class:`CandidateLogger` implements candidate logging (Sec. 3.2): the
-  reservoir acceptance test is pushed to insertion time and only accepted
-  elements are appended to the log file.  The refresh phase then treats
-  every log element as a candidate.
+  sample kind's acceptance test is pushed to insertion time and only
+  accepted elements are appended to the log file.  The refresh phase
+  then treats every log element as a candidate.
 * :class:`FullLogger` implements full logging (Sec. 3.1): every insertion
   is appended, and the acceptance test is deferred to refresh time.
 * :class:`FullLogSource` is the Sec. 5 adapter: it lets any candidate
@@ -27,11 +27,13 @@ their input.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Protocol, Sequence, TypeVar
 
-from repro.core.reservoir import ReservoirSampler
 from repro.rng.random_source import RandomSource
 from repro.storage.files import LogFile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.kinds import SampleKind
 
 __all__ = [
     "CandidateSource",
@@ -69,33 +71,27 @@ class CandidateSource(Protocol):
 
 
 class CandidateLogger:
-    """Candidate logging (Sec. 3.2).
+    """Candidate logging (Sec. 3.2), for any sample kind.
 
-    Each arriving insertion is accepted with probability ``M/(|R|+1)`` and,
-    if accepted, appended to the log file; rejected elements cost nothing.
-    The expected log size after ``n`` insertions is
-    ``M ln((|R|+n)/|R|)`` -- it *shrinks* relative to ``n`` as the dataset
-    grows, which is where the paper's orders-of-magnitude online savings
-    come from.
+    The kind runs the acceptance test against its stale state and turns
+    each accepted element into a log record (the bare value for uniform;
+    value plus key or arrival sequence otherwise); the logger appends
+    the records, and rejected elements cost nothing.  For a uniform kind
+    each insertion is accepted with probability ``M/(|R|+1)``, so the
+    expected log size after ``n`` insertions is ``M ln((|R|+n)/|R|)`` --
+    it *shrinks* relative to ``n`` as the dataset grows, which is where
+    the paper's orders-of-magnitude online savings come from.
     """
 
-    def __init__(
-        self,
-        log: LogFile,
-        sample_size: int,
-        rng: RandomSource,
-        initial_dataset_size: int,
-        skip_method: str = "auto",
-    ) -> None:
-        if initial_dataset_size < sample_size:
+    def __init__(self, log: LogFile, kind: "SampleKind", rng: RandomSource) -> None:
+        if kind.seen < kind.capacity:
             raise ValueError(
                 "candidate logging requires an existing sample: "
-                f"dataset size {initial_dataset_size} < sample size {sample_size}"
+                f"dataset size {kind.seen} < sample size {kind.capacity}"
             )
         self._log = log
-        self._sampler = ReservoirSampler(
-            sample_size, rng, initial_size=initial_dataset_size, skip_method=skip_method
-        )
+        self._kind = kind
+        self._rng = rng
 
     @property
     def log(self) -> LogFile:
@@ -103,28 +99,20 @@ class CandidateLogger:
 
     @property
     def dataset_size(self) -> int:
-        return self._sampler.seen
-
-    @property
-    def sample_size(self) -> int:
-        return self._sampler.capacity
-
-    @property
-    def pending_accept(self) -> int | None:
-        """The sampler's undrawn skip decision (checkpointed verbatim)."""
-        return self._sampler.pending_accept
+        return self._kind.seen
 
     def insert(self, element: T) -> bool:
         """Log phase for one insertion; True if it became a candidate."""
-        if self._sampler.test(element):
-            self._log.append(element)
-            return True
-        return False
+        record = self._kind.accept_one(element, self._rng)
+        if record is None:
+            return False
+        self._log.append(record)
+        return True
 
     def insert_many(
         self, elements: Sequence[T], max_accepts: int | None = None
     ) -> tuple[int, int]:
-        """Batched log phase: skip-jump to each candidate, append in bulk.
+        """Batched log phase: the kind's batch acceptance, one bulk append.
 
         Returns ``(consumed, accepted)``.  ``consumed < len(elements)``
         only when ``max_accepts`` acceptances were reached (then the call
@@ -133,10 +121,10 @@ class CandidateLogger:
         inserts).  Same PRNG draws, log records and block writes as
         ``len(elements)`` scalar :meth:`insert` calls.
         """
-        consumed, accepted = self._sampler.test_many(len(elements), max_accepts)
-        if accepted:
-            self._log.append_many([elements[i] for i in accepted])
-        return consumed, len(accepted)
+        consumed, records = self._kind.accept_many(elements, self._rng, max_accepts)
+        if records:
+            self._log.append_many(records)
+        return consumed, len(records)
 
     def source(self) -> "CandidateLogSource":
         """The candidate source for the coming refresh."""

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.kinds import KindCandidateLogger, SampleKind
+from repro.core.kinds import SampleKind, UniformKind
 from repro.core.logs import CandidateLogger, FullLogger
 from repro.core.refresh.base import RefreshAlgorithm, RefreshResult
 from repro.core.refresh.naive import NaiveFullRefresh
 from repro.core.policies import ManualPolicy, RefreshPolicy
-from repro.core.reservoir import ReservoirSampler
 from repro.obs.api import Instrumentation, maybe_span
 from repro.obs.catalogue import COUNT_BUCKETS, SECONDS_BUCKETS
 from repro.rng.random_source import RandomSource
@@ -83,6 +82,12 @@ class SampleMaintainer:
         ``trace_inserts``, every insert), and propagates itself to the
         refresh algorithm so its phases are traced too.  ``None`` keeps
         every hot path at a single ``is None`` test.
+    kind:
+        The :class:`~repro.core.kinds.SampleKind` owning acceptance
+        state; ``None`` builds the uniform default over
+        ``initial_dataset_size`` with ``skip_method``.  Kinds without
+        random victims need candidate logging and a refresh algorithm
+        that replays their victim rule.
     """
 
     def __init__(
@@ -112,30 +117,31 @@ class SampleMaintainer:
                 raise ValueError(f"strategy {strategy!r} requires a log file")
             if algorithm is None:
                 raise ValueError(f"strategy {strategy!r} requires a refresh algorithm")
-        if kind is not None and kind.name == "uniform":
-            # Uniform is the pre-kind path; dropping the marker here keeps
-            # that path literally unchanged (and byte-identical).
-            kind = None
-        if kind is not None:
+        kind = kind or UniformKind(
+            sample.size, seen=initial_dataset_size, skip_method=skip_method
+        )
+        if strategy != "full" and kind.seen != initial_dataset_size:
+            # Full logging defers acceptance to refresh time; its logger,
+            # not the kind, counts the dataset.
+            raise ValueError(
+                f"kind has seen {kind.seen} elements but "
+                f"initial_dataset_size is {initial_dataset_size}"
+            )
+        if not kind.random_victims:
+            # The one victim-rule decision: uniform victims are slots the
+            # refresh algorithm draws itself; any other kind's victims come
+            # from its replay, so the algorithm must be able to run it.
             if strategy != "candidate":
                 raise ValueError(
                     f"kind {kind.name!r} supports only candidate logging, "
                     f"got strategy {strategy!r}"
                 )
-            if kind.seen != initial_dataset_size:
-                raise ValueError(
-                    f"kind has seen {kind.seen} elements but "
-                    f"initial_dataset_size is {initial_dataset_size}"
-                )
-            # Propagate the kind to a kind-capable refresh algorithm, the
-            # same way instrumentation propagates below.
             if not hasattr(algorithm, "kind"):
                 raise ValueError(
                     f"refresh algorithm {getattr(algorithm, 'name', algorithm)!r} "
                     f"cannot drive kind {kind.name!r} (no kind support)"
                 )
-            if algorithm.kind is None:
-                algorithm.kind = kind
+            algorithm.kind = kind
         self._kind = kind
         self._sample = sample
         self._rng = rng
@@ -143,7 +149,6 @@ class SampleMaintainer:
         self._algorithm = algorithm
         self._policy = policy if policy is not None else ManualPolicy()
         self._cost_model = cost_model
-        self._skip_method = skip_method
         self.stats = MaintenanceStats()
         self._ops_since_refresh = 0
         if commit_group is None:
@@ -158,21 +163,13 @@ class SampleMaintainer:
         self._commit_group = commit_group
 
         if strategy == "immediate":
-            self._reservoir = ReservoirSampler(
-                sample.size, rng, initial_size=initial_dataset_size,
-                skip_method=skip_method,
-            )
+            self._reservoir = kind.sampler
+            self._reservoir.rng = rng
             self._candidate_logger = None
             self._full_logger = None
         elif strategy == "candidate":
             self._reservoir = None
-            if kind is not None:
-                self._candidate_logger = KindCandidateLogger(log, kind, rng)
-            else:
-                self._candidate_logger = CandidateLogger(
-                    log, sample.size, rng, initial_dataset_size,
-                    skip_method=skip_method,
-                )
+            self._candidate_logger = CandidateLogger(log, kind, rng)
             self._full_logger = None
         else:  # full
             self._reservoir = None
@@ -220,17 +217,24 @@ class SampleMaintainer:
         return self._strategy
 
     @property
-    def kind(self) -> SampleKind | None:
-        """The non-uniform sample kind driving maintenance, if any."""
+    def kind(self) -> SampleKind:
+        """The sample kind: acceptance state, row format, victim rule."""
         return self._kind
 
     @property
-    def dataset_size(self) -> int:
-        if self._reservoir is not None:
-            return self._reservoir.seen
+    def log(self) -> LogFile | None:
+        """The candidate or full log; None under immediate maintenance."""
         if self._candidate_logger is not None:
-            return self._candidate_logger.dataset_size
-        return self._full_logger.dataset_size
+            return self._candidate_logger.log
+        if self._full_logger is not None:
+            return self._full_logger.log
+        return None
+
+    @property
+    def dataset_size(self) -> int:
+        if self._full_logger is not None:
+            return self._full_logger.dataset_size
+        return self._kind.seen
 
     @property
     def pending_log_elements(self) -> int:
@@ -395,10 +399,7 @@ class SampleMaintainer:
             # refresh would otherwise absorb the last block's write.
             online_mark = self._checkpoint()
             with maybe_span(obs, "refresh.log_flush"):
-                if self._candidate_logger is not None:
-                    self._candidate_logger.log.flush()
-                else:
-                    self._full_logger.log.flush()
+                self.log.flush()
             self._charge_online(online_mark)
             checkpoint = self._checkpoint()
             if self._strategy == "candidate":
@@ -464,20 +465,15 @@ class SampleMaintainer:
 
         with maybe_span(self._instr, "maintenance.checkpoint") as span:
             online_mark = self._checkpoint()
-            pending = None
-            if self._candidate_logger is not None:
-                self._candidate_logger.log.flush()
-                log_count = len(self._candidate_logger.log)
-                dataset_at_refresh = self._candidate_logger.dataset_size
-                pending = self._candidate_logger.pending_accept
-            elif self._full_logger is not None:
-                self._full_logger.log.flush()
-                log_count = len(self._full_logger.log)
+            log = self.log
+            log_count = 0
+            if log is not None:
+                log.flush()
+                log_count = len(log)
+            if self._full_logger is not None:
                 dataset_at_refresh = self._full_logger.dataset_size_at_last_refresh
             else:
-                log_count = 0
-                dataset_at_refresh = self._reservoir.seen
-                pending = self._reservoir.pending_accept
+                dataset_at_refresh = self._kind.seen
             # Checkpoint point: the snapshot describes on-device state, so any
             # buffered sample/log writes must reach the device first (barriers
             # are free on plain devices, booked online like the log flush).
@@ -486,11 +482,6 @@ class SampleMaintainer:
             if span is not None:
                 span.set("log_count", log_count)
         seed, spawn_count, state, w = MaintenanceCheckpoint.capture_rng(self._rng)
-        if self._kind is not None:
-            kind_name = self._kind.name
-            kind_param, kind_threshold = self._kind.checkpoint_fields()
-        else:
-            kind_name, kind_param, kind_threshold = "uniform", 0, 0.0
         return MaintenanceCheckpoint(
             strategy=self._strategy,
             sample_size=self._sample.size,
@@ -499,15 +490,13 @@ class SampleMaintainer:
             log_count=log_count,
             inserts=self.stats.inserts,
             refreshes=self.stats.refreshes,
-            pending_accept=pending,
             ops_since_refresh=self._ops_since_refresh,
             rng_seed=seed,
             rng_spawn_count=spawn_count,
             rng_state=state,
             rng_w=w,
-            kind_name=kind_name,
-            kind_param=kind_param,
-            kind_threshold=kind_threshold,
+            kind_name=self._kind.name,
+            **self._kind.checkpoint_fields(),
         )
 
     @classmethod
@@ -531,25 +520,24 @@ class SampleMaintainer:
         its on-disk contents are re-attached via
         :meth:`~repro.storage.files.LogFile.reopen`.  The restored PRNG
         state makes every subsequent acceptance decision identical to an
-        uninterrupted run.  Checkpoints of non-uniform samples require
-        the matching ``kind`` instance, whose stale state (dataset size,
-        acceptance threshold) is restored from the manifest fields.
+        uninterrupted run.  ``kind`` (default: a fresh uniform kind) must
+        match the checkpoint's; its acceptance state (dataset size,
+        pending skip, stale threshold) is restored from the manifest.
         """
         if checkpoint.sample_size != sample.size:
             raise ValueError(
                 f"checkpoint is for sample size {checkpoint.sample_size}, "
                 f"got a sample of size {sample.size}"
             )
-        kind_name = getattr(kind, "name", "uniform") if kind is not None else "uniform"
-        if checkpoint.kind_name != kind_name:
+        kind = kind or UniformKind(checkpoint.sample_size, skip_method=skip_method)
+        if checkpoint.kind_name != kind.name:
             raise ValueError(
                 f"checkpoint is for kind {checkpoint.kind_name!r}, "
-                f"got kind {kind_name!r}"
+                f"got kind {kind.name!r}"
             )
-        if kind is not None and kind.name != "uniform":
-            # Restore the kind's stale state first: the constructor's
-            # kind validation reads it.
-            kind.restore_state(checkpoint)
+        # Restore the kind's acceptance state first: the constructor's
+        # kind validation reads it.
+        kind.restore_state(checkpoint)
         rng = checkpoint.restore_rng()
         if checkpoint.strategy != "immediate":
             if log is None:
@@ -572,16 +560,7 @@ class SampleMaintainer:
             kind=kind,
         )
         # Restore the counters the constructor cannot know.
-        if maintainer._reservoir is not None:
-            maintainer._reservoir._seen = checkpoint.dataset_size
-            maintainer._reservoir.pending_accept = checkpoint.pending_accept
-        elif isinstance(maintainer._candidate_logger, KindCandidateLogger):
-            pass  # the kind's restore_state above carried everything
-        elif maintainer._candidate_logger is not None:
-            sampler = maintainer._candidate_logger._sampler
-            sampler._seen = checkpoint.dataset_size
-            sampler.pending_accept = checkpoint.pending_accept
-        else:
+        if maintainer._full_logger is not None:
             maintainer._full_logger._dataset_size = checkpoint.dataset_size
         maintainer.stats.inserts = checkpoint.inserts
         maintainer.stats.refreshes = checkpoint.refreshes
@@ -613,17 +592,10 @@ class SampleMaintainer:
 
     # -- telemetry -------------------------------------------------------------
 
-    def _log_file(self) -> LogFile | None:
-        if self._candidate_logger is not None:
-            return self._candidate_logger.log
-        if self._full_logger is not None:
-            return self._full_logger.log
-        return None
-
     def _sync_gauges(self) -> None:
         """Refresh the staleness gauges after any state change."""
         self._g_pending.set(self.pending_log_elements)
-        log = self._log_file()
+        log = self.log
         self._g_log_blocks.set(log.block_count if log is not None else 0)
 
     # -- cost accounting -------------------------------------------------------

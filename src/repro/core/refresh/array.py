@@ -20,7 +20,7 @@ for large logs in Fig. 13.
 from __future__ import annotations
 
 from repro.core.logs import CandidateSource
-from repro.core.refresh.base import RefreshResult
+from repro.core.refresh.base import RefreshResult, replay_displacements
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -149,41 +149,28 @@ class ArrayRefresh:
         """Algorithm 1's write discipline generalised to a non-uniform kind.
 
         The uniform precomputation throws candidate *indexes* at RNG-drawn
-        slots; a kind's victims depend on sample *contents*, so the merge
-        phase here is: scan the current rows once (sequential reads), run
-        the kind's replay over the unexpired log tail (sequential reads),
-        then write only the final record of each displaced slot -- one
+        slots; here the kind's replay picks the victims instead, and only
+        the final record of each displaced slot is written -- one
         sequential ascending pass, exactly ``Psi <= min(M, |C|)`` writes.
         The replay consumes no randomness, so naive and array refreshes
         leave identical sample bytes *and* identical PRNG state.
         """
-        kind = self.kind
-        obs = self.instrumentation
         total = source.count()
-        size = sample.size
         memory = MemoryReport()
-        memory.account_indexes(size)  # the replay's per-slot key/seq state
+        memory.account_indexes(sample.size)  # the replay's per-slot key/seq state
         if total == 0:
             return RefreshResult(candidates=0, displaced=0, memory=memory)
-        start = kind.replay_start(total)
         with maybe_span(
-            obs, "refresh.write", algorithm=self.name, candidates=total
+            self.instrumentation,
+            "refresh.write",
+            algorithm=self.name,
+            candidates=total,
         ) as span:
-            rows = list(sample.scan())
-            replay = kind.begin_replay(rows)
-            reader = source.open_reader()
-            touched: set[int] = set()
-            for ordinal in range(start + 1, total + 1):
-                slot = replay.step(reader.read(ordinal))
-                if slot is not None:
-                    touched.add(slot)
-            kind.commit_replay(replay)
-            sample.write_sequential(
-                (slot, rows[slot]) for slot in sorted(touched)
-            )
+            final = dict(replay_displacements(self.kind, sample, source, total))
+            sample.write_sequential(sorted(final.items()))
             if span is not None:
-                span.set("displaced", len(touched))
-        return RefreshResult(candidates=total, displaced=len(touched), memory=memory)
+                span.set("displaced", len(final))
+        return RefreshResult(candidates=total, displaced=len(final), memory=memory)
 
     def _write_unsorted(
         self,

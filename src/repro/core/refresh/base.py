@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from repro.core.logs import CandidateSource
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
 from repro.storage.memory import MemoryReport
 
-__all__ = ["RefreshAlgorithm", "RefreshResult"]
+__all__ = ["RefreshAlgorithm", "RefreshResult", "replay_displacements"]
 
 
 @dataclass
@@ -58,3 +58,25 @@ class RefreshAlgorithm(Protocol):
         rng: RandomSource,
     ) -> RefreshResult:  # pragma: no cover - protocol
         ...
+
+
+def replay_displacements(
+    kind, sample: SampleFile, source: CandidateSource, total: int
+) -> Iterator[tuple[int, object]]:
+    """Replay a non-uniform kind's victim rule over this round's log.
+
+    A kind's victims depend on sample *contents*, so the current rows are
+    read back first (one sequential scan); then the unexpired log tail,
+    ordinals ``replay_start + 1 .. total``, is read in order (sequential
+    reads).  Yields ``(slot, record)`` for every displacement, and commits
+    the replay to the kind once the log is exhausted.  Consumes no
+    randomness, so every algorithm built on it leaves the PRNG untouched.
+    """
+    replay = kind.begin_replay(list(sample.scan()))
+    reader = source.open_reader()
+    for ordinal in range(kind.replay_start(total) + 1, total + 1):
+        record = reader.read(ordinal)
+        slot = replay.step(record)
+        if slot is not None:
+            yield slot, record
+    kind.commit_replay(replay)

@@ -10,7 +10,7 @@ refresh strategies must leave the sample uniformly distributed).
 from __future__ import annotations
 
 from repro.core.logs import CandidateLogSource, CandidateSource
-from repro.core.refresh.base import RefreshResult
+from repro.core.refresh.base import RefreshResult, replay_displacements
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -87,38 +87,23 @@ class NaiveCandidateRefresh:
     ) -> RefreshResult:
         """Naive replay for a non-uniform kind: write every displacement.
 
-        The kind's victim choice is content-dependent, so (unlike the
-        uniform strawman) the current rows must be read back first -- one
-        sequential sample scan -- before the log replay.  Each replay
-        step that displaces a slot is written immediately, non-final
-        writes included: that is the naive baseline's signature cost.
-        The replay itself consumes no randomness, so the PRNG stream is
-        untouched by refresh for every non-uniform kind.
+        Each replay step that displaces a slot is written immediately,
+        non-final writes included: that is the naive baseline's signature
+        cost, as in the uniform strawman above.
         """
-        kind = self.kind
         total = source.count()
         if total == 0:
             return RefreshResult(candidates=0, displaced=0)
-        start = kind.replay_start(total)
         with maybe_span(
             self.instrumentation,
             "refresh.write",
             algorithm=self.name,
             candidates=total,
         ) as span:
-            rows = list(sample.scan())
-            replay = kind.begin_replay(rows)
-            reader = source.open_reader()
             touched: set[int] = set()
-            for ordinal in range(start + 1, total + 1):
-                record = reader.read(ordinal)
-                slot = replay.step(record)
-                if slot is not None:
-                    # Naive pays the random write per displacement, same
-                    # as the uniform strawman above.
-                    sample.write_random(slot, record)  # repro-lint: disable=IO001
-                    touched.add(slot)
-            kind.commit_replay(replay)
+            for slot, record in replay_displacements(self.kind, sample, source, total):
+                sample.write_random(slot, record)  # repro-lint: disable=IO001
+                touched.add(slot)
             if span is not None:
                 span.set("displaced", len(touched))
         return RefreshResult(

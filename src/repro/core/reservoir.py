@@ -39,13 +39,15 @@ class ReservoirSampler:
 
     ``initial_size`` seeds the dataset-size counter for datasets that
     already contain elements (the paper's experiments start with
-    ``|R| = 1M`` and a full sample).
+    ``|R| = 1M`` and a full sample).  A
+    :class:`~repro.core.kinds.UniformKind` creates its sampler without an
+    ``rng`` and binds the stream its caller hands in.
     """
 
     def __init__(
         self,
         capacity: int,
-        rng: RandomSource,
+        rng: RandomSource | None,
         initial_size: int = 0,
         skip_method: str = "auto",
     ) -> None:
@@ -79,6 +81,19 @@ class ReservoirSampler:
         return self._seen
 
     @property
+    def rng(self) -> RandomSource | None:
+        """The stream every draw comes from."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: RandomSource) -> None:
+        self._rng = rng
+
+    @property
+    def skip_method(self) -> str:
+        return self._skip_method
+
+    @property
     def filling(self) -> bool:
         """True while the first ``M`` elements are still being collected."""
         return self._seen < self._capacity
@@ -101,6 +116,13 @@ class ReservoirSampler:
                 f"(seen={self._seen})"
             )
         self._next_accept = value
+
+    def restore(self, seen: int, pending_accept: int | None) -> None:
+        """Resume at a recorded position: dataset size plus pending skip."""
+        if seen < self._capacity:
+            raise ValueError(f"cannot resume a partial sample (seen={seen})")
+        self._seen = seen
+        self.pending_accept = pending_accept
 
     def offer(self, _element: T = None) -> int | None:
         """Process one arriving element; return its sample slot or ``None``.

@@ -184,6 +184,7 @@ def run_fleet_sim_command(args: argparse.Namespace) -> int:
                 spec.strip() for spec in args.kinds.split(",") if spec.strip()
             ),
         )
+        config.serve_config().validate()
     except ValueError as exc:
         print(f"fleet-sim: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.kinds import SampleKind, make_kind, parse_kind_spec
+from repro.core.kinds import SampleKind, checkpoint_kind_spec, make_kind
 from repro.core.maintenance import SampleMaintainer
 from repro.core.multi import MultiSampleManager
 from repro.core.policies import ManualPolicy, RefreshPolicy
@@ -28,7 +28,6 @@ from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.naive import NaiveCandidateRefresh
 from repro.core.refresh.nomem import NomemRefresh
 from repro.core.refresh.stack import StackRefresh
-from repro.core.reservoir import build_reservoir
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import BlockDevice, SimulatedBlockDevice
 from repro.storage.bufferpool import BufferPool
@@ -36,15 +35,20 @@ from repro.storage.cost_model import CostModel
 from repro.storage.fault_injection import CrashBudget, FaultInjectionDevice
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.group_commit import GroupCommitBarrier
-from repro.storage.records import IntRecordCodec, RecordCodec
 from repro.storage.replicated import clone_image
-from repro.storage.superblock import DualSlotCheckpointStore
+from repro.storage.superblock import DualSlotCheckpointStore, MaintenanceCheckpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.api import Instrumentation
     from repro.replication.link import ReplicationLink
 
-__all__ = ["CatalogEntry", "SampleCatalog", "ALGORITHMS", "KIND_ALGORITHMS"]
+__all__ = [
+    "CatalogEntry",
+    "SampleCatalog",
+    "ALGORITHMS",
+    "KIND_ALGORITHMS",
+    "resolve_kind",
+]
 
 #: Refresh-algorithm factories the catalog can instantiate by name.
 ALGORITHMS: dict[str, Callable[[], object]] = {
@@ -58,6 +62,31 @@ ALGORITHMS: dict[str, Callable[[], object]] = {
 #: victim choice comes from the kind's replay; Stack/Nomem encode the
 #: uniform victim distribution in their data structures).
 KIND_ALGORITHMS = ("naive", "array")
+
+
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
+        )
+
+
+def resolve_kind(spec: str, algorithm: str, capacity: int) -> SampleKind:
+    """Build a sample's kind, enforcing the kind/algorithm rule.
+
+    The rule: ``algorithm`` names a catalog refresh algorithm, and a kind
+    whose victims come from its replay (every kind but uniform) needs one
+    of :data:`KIND_ALGORITHMS`.  The CLIs call this before a run starts,
+    so a bad spec is a usage error rather than a failure mid-run.
+    """
+    _check_algorithm(algorithm)
+    kind = make_kind(spec, capacity)
+    if not kind.random_victims and algorithm not in KIND_ALGORITHMS:
+        raise ValueError(
+            f"kind {kind.spec()!r} requires a kind-capable refresh algorithm "
+            f"{KIND_ALGORITHMS}, got {algorithm!r}"
+        )
+    return kind
 
 
 @dataclass
@@ -75,7 +104,6 @@ class CatalogEntry:
     name: str
     algorithm: str
     policy: RefreshPolicy
-    codec: RecordCodec
     maintainer: SampleMaintainer
     sample: SampleFile
     log: LogFile
@@ -83,15 +111,13 @@ class CatalogEntry:
     sample_device: BlockDevice
     log_device: BlockDevice
     meta_device: BlockDevice
+    #: the live sample kind the maintainer and query session share; its
+    #: ``spec()`` is the canonical kind spec
+    kind: SampleKind
     #: one commit point spanning the three devices above; refresh commits
     #: run through it flush-only, manifest saves seal -- so, when the
     #: catalog is replicated, every sealed batch is a checkpoint boundary
     commit_group: GroupCommitBarrier | None = None
-    #: canonical sample-kind spec (``"uniform"``, ``"weighted"``,
-    #: ``"weighted:MOD"``, ``"window"``) and, for non-uniform kinds, the
-    #: live kind instance the maintainer and query session share
-    kind: str = "uniform"
-    kind_obj: SampleKind | None = None
 
 
 class SampleCatalog:
@@ -259,11 +285,11 @@ class SampleCatalog:
         lifetime of the sample is one deterministic stream.
 
         ``kind`` selects the sampling scheme (see
-        :mod:`repro.core.kinds`): ``"uniform"`` (the default) takes the
-        pre-kind code path untouched; ``"weighted"``/``"weighted:MOD"``
-        and ``"window"`` build their initial sample with the kind's eager
-        rule over the *same* initial draws and restrict ``algorithm`` to
-        the kind-capable refreshes (``naive``/``array``).
+        :mod:`repro.core.kinds`): ``"uniform"`` (the default),
+        ``"weighted"``/``"weighted:MOD"`` or ``"window"``.  Every kind
+        builds its initial sample over the *same* initial draws; kinds
+        other than uniform restrict ``algorithm`` to the kind-capable
+        refreshes (see :func:`resolve_kind`).
         """
         if name in self._entries:
             raise ValueError(f"sample {name!r} already catalogued")
@@ -274,34 +300,15 @@ class SampleCatalog:
                 f"initial dataset ({initial_dataset_size}) must be at least "
                 f"the sample size ({sample_size})"
             )
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
-            )
-        kind_name, _ = parse_kind_spec(kind)
-        kind_obj: SampleKind | None = None
-        if kind_name != "uniform":
-            if algorithm not in KIND_ALGORITHMS:
-                raise ValueError(
-                    f"kind {kind!r} requires a kind-capable refresh algorithm "
-                    f"{KIND_ALGORITHMS}, got {algorithm!r}"
-                )
-            kind_obj = make_kind(kind, sample_size)
+        sample_kind = resolve_kind(kind, algorithm, sample_size)
         rng = RandomSource(seed)
-        codec: RecordCodec = (
-            kind_obj.codec(record_size)
-            if kind_obj is not None
-            else IntRecordCodec(record_size)
-        )
+        codec = sample_kind.codec(record_size)
         sample_device = self._make_device(f"{name}.sample")
         log_device = self._make_device(f"{name}.log")
         meta_device = self._make_device(f"{name}.meta")
         initial = [rng.randrange(value_range) for _ in range(initial_dataset_size)]
-        if kind_obj is not None:
-            rows = kind_obj.build_initial(initial, rng)
-            seen = kind_obj.seen
-        else:
-            rows, seen = build_reservoir(initial, sample_size, rng)
+        rows = sample_kind.build_initial(initial, rng)
+        seen = sample_kind.seen
         sample = SampleFile(sample_device, codec, sample_size)
         sample.initialize(rows)
         log = LogFile(log_device, codec)
@@ -320,14 +327,13 @@ class SampleCatalog:
             cost_model=self._cost_model,
             instrumentation=self._instr,
             commit_group=commit_group,
-            kind=kind_obj,
+            kind=sample_kind,
         )
         store = DualSlotCheckpointStore(meta_device, commit_barrier=commit_group)
         entry = CatalogEntry(
             name=name,
             algorithm=algorithm,
             policy=refresh_policy,
-            codec=codec,
             maintainer=maintainer,
             sample=sample,
             log=log,
@@ -336,8 +342,7 @@ class SampleCatalog:
             log_device=log_device,
             meta_device=meta_device,
             commit_group=commit_group,
-            kind=kind_obj.spec() if kind_obj is not None else "uniform",
-            kind_obj=kind_obj,
+            kind=sample_kind,
         )
         self._manager.add(name, maintainer)
         self._entries[name] = entry
@@ -346,23 +351,14 @@ class SampleCatalog:
         store.save(maintainer.checkpoint_state())
         if self._instr is not None:
             self._g_samples.set(len(self._entries))
-            if kind_obj is not None:
-                self._instr.emit(
-                    "serve.sample_created",
-                    sample=name,
-                    algorithm=algorithm,
-                    sample_size=sample_size,
-                    dataset_size=seen,
-                    kind=entry.kind,
-                )
-            else:
-                self._instr.emit(
-                    "serve.sample_created",
-                    sample=name,
-                    algorithm=algorithm,
-                    sample_size=sample_size,
-                    dataset_size=seen,
-                )
+            self._instr.emit(
+                "serve.sample_created",
+                sample=name,
+                algorithm=algorithm,
+                sample_size=sample_size,
+                dataset_size=seen,
+                kind=sample_kind.spec(),
+            )
         return entry
 
     def checkpoint(self, name: str) -> None:
@@ -385,29 +381,19 @@ class SampleCatalog:
         """
         entry = self.entry(name)
         checkpoint = entry.store.load()
-        # A fresh kind instance per reopen: its stale state (dataset size,
-        # acceptance threshold) comes from the manifest, never from the
-        # in-memory object the crashed maintainer was mutating.
-        kind_obj: SampleKind | None = None
-        if entry.kind != "uniform":
-            kind_obj = make_kind(entry.kind, checkpoint.sample_size)
-        sample = SampleFile(entry.sample_device, entry.codec, checkpoint.sample_size)
-        log = LogFile(entry.log_device, entry.codec)
-        maintainer = SampleMaintainer.from_checkpoint(
+        maintainer = self._resume(
             checkpoint,
-            sample,
-            log=log,
-            algorithm=ALGORITHMS[entry.algorithm](),
-            policy=entry.policy,
-            cost_model=self._cost_model,
-            instrumentation=self._instr,
-            commit_group=entry.commit_group,
-            kind=kind_obj,
+            entry.algorithm,
+            entry.policy,
+            entry.sample.codec.record_size,
+            entry.sample_device,
+            entry.log_device,
+            entry.commit_group,
         )
         entry.maintainer = maintainer
-        entry.sample = sample
-        entry.log = log
-        entry.kind_obj = kind_obj
+        entry.sample = maintainer.sample
+        entry.log = maintainer.log
+        entry.kind = maintainer.kind
         self._manager.replace(name, maintainer)
         if self._instr is not None:
             self._instr.emit(
@@ -444,10 +430,7 @@ class SampleCatalog:
         """
         if name in self._entries:
             raise ValueError(f"sample {name!r} already catalogued")
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
-            )
+        _check_algorithm(algorithm)
         sample_device = self._make_device(f"{name}.sample")
         log_device = self._make_device(f"{name}.log")
         meta_device = self._make_device(f"{name}.meta")
@@ -462,59 +445,29 @@ class SampleCatalog:
         )
         store = DualSlotCheckpointStore(meta_device, commit_barrier=commit_group)
         checkpoint = store.load()
-        # The manifest is the source of truth for the sample's kind: the
-        # adopted images may come from a catalog whose configuration is
-        # long gone, so kind name and parameters are read back from the
-        # checkpoint, not passed in.
-        kind_obj: SampleKind | None = None
-        kind_spec = "uniform"
-        if checkpoint.kind_name != "uniform":
-            if checkpoint.kind_name == "weighted":
-                kind_spec = f"{checkpoint.kind_name}:{checkpoint.kind_param}"
-            else:
-                kind_spec = checkpoint.kind_name
-            kind_obj = make_kind(kind_spec, checkpoint.sample_size)
-            kind_spec = kind_obj.spec()
-            if algorithm not in KIND_ALGORITHMS:
-                raise ValueError(
-                    f"adopted sample has kind {kind_spec!r}, which requires a "
-                    f"kind-capable refresh algorithm {KIND_ALGORITHMS}, "
-                    f"got {algorithm!r}"
-                )
-        codec: RecordCodec = (
-            kind_obj.codec(record_size)
-            if kind_obj is not None
-            else IntRecordCodec(record_size)
-        )
-        sample = SampleFile(sample_device, codec, checkpoint.sample_size)
-        log = LogFile(log_device, codec)
         refresh_policy = policy if policy is not None else ManualPolicy()
-        maintainer = SampleMaintainer.from_checkpoint(
+        maintainer = self._resume(
             checkpoint,
-            sample,
-            log=log,
-            algorithm=ALGORITHMS[algorithm](),
-            policy=refresh_policy,
-            cost_model=self._cost_model,
-            instrumentation=self._instr,
-            commit_group=commit_group,
-            kind=kind_obj,
+            algorithm,
+            refresh_policy,
+            record_size,
+            sample_device,
+            log_device,
+            commit_group,
         )
         entry = CatalogEntry(
             name=name,
             algorithm=algorithm,
             policy=refresh_policy,
-            codec=codec,
             maintainer=maintainer,
-            sample=sample,
-            log=log,
+            sample=maintainer.sample,
+            log=maintainer.log,
             store=store,
             sample_device=sample_device,
             log_device=log_device,
             meta_device=meta_device,
             commit_group=commit_group,
-            kind=kind_spec,
-            kind_obj=kind_obj,
+            kind=maintainer.kind,
         )
         self._manager.add(name, maintainer)
         self._entries[name] = entry
@@ -528,6 +481,39 @@ class SampleCatalog:
                 pending_log_elements=checkpoint.log_count,
             )
         return entry
+
+    def _resume(
+        self,
+        checkpoint: MaintenanceCheckpoint,
+        algorithm: str,
+        policy: RefreshPolicy,
+        record_size: int,
+        sample_device: BlockDevice,
+        log_device: BlockDevice,
+        commit_group: GroupCommitBarrier,
+    ) -> SampleMaintainer:
+        """Rebuild a maintainer from a manifest over surviving devices.
+
+        The manifest is the source of truth for the kind: a fresh kind
+        object is built from it, so its acceptance state never comes from
+        the in-memory object a crashed maintainer was mutating, and
+        adopted images need no caller-supplied kind.
+        """
+        kind = resolve_kind(
+            checkpoint_kind_spec(checkpoint), algorithm, checkpoint.sample_size
+        )
+        codec = kind.codec(record_size)
+        return SampleMaintainer.from_checkpoint(
+            checkpoint,
+            SampleFile(sample_device, codec, checkpoint.sample_size),
+            log=LogFile(log_device, codec),
+            algorithm=ALGORITHMS[algorithm](),
+            policy=policy,
+            cost_model=self._cost_model,
+            instrumentation=self._instr,
+            commit_group=commit_group,
+            kind=kind,
+        )
 
     # -- data paths ----------------------------------------------------------
 

@@ -13,6 +13,7 @@ lazily so ``repro --help`` stays fast.
 from __future__ import annotations
 
 import argparse
+import sys
 
 __all__ = ["add_serve_sim_parser", "run_serve_sim_command"]
 
@@ -192,6 +193,11 @@ def run_serve_sim_command(args: argparse.Namespace) -> int:
             spec.strip() for spec in args.kinds.split(",") if spec.strip()
         ),
     )
+    try:
+        config.validate()  # surface bad specs before the run starts
+    except ValueError as exc:
+        print(f"serve-sim: {exc}", file=sys.stderr)
+        return 2
     instrumentation = Instrumentation(cost_model=CostModel())
     report = run_simulation(config, instrumentation=instrumentation)
 

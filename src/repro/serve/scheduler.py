@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
@@ -62,6 +62,9 @@ __all__ = [
     "ServeReport",
     "DeterministicScheduler",
 ]
+
+#: The trace scope of every unit of work in an uninstrumented run.
+_BARE = nullcontext()
 
 
 # -- refresh-scheduling policies ---------------------------------------------
@@ -365,7 +368,6 @@ class DeterministicScheduler:
         """Process a workload to completion; returns the canonical report."""
         catalog = self._catalog
         cost_model = catalog.cost_model
-        obs = self._instr
         heap: list[tuple[float, int, WorkloadEvent]] = [
             (event.time, event.seq, event) for event in events
         ]
@@ -401,7 +403,7 @@ class DeterministicScheduler:
             depth = bisect_left(times, busy_until, head) - head
             heap_size_before = len(heap)
 
-            if obs is None:
+            with self._scope(f"{event.seq:06d}", event):
                 busy_until = self._process_event(
                     event=event,
                     seq=seq,
@@ -419,39 +421,6 @@ class DeterministicScheduler:
                     refreshes_by_sample=refreshes_by_sample,
                     report=report,
                 )
-            else:
-                with ExitStack() as stack:
-                    # One deterministic trace id per workload event: every
-                    # span opened on its behalf -- admission, session read,
-                    # triggered refresh, pool and device I/O -- shares it.
-                    stack.enter_context(
-                        obs.tracer.trace_context(self._trace_id(f"{event.seq:06d}"))
-                    )
-                    stack.enter_context(
-                        obs.span(
-                            "serve.event",
-                            kind=event.kind,
-                            seq=event.seq,
-                            sample=event.sample,
-                        )
-                    )
-                    busy_until = self._process_event(
-                        event=event,
-                        seq=seq,
-                        arrival=arrival,
-                        start=start,
-                        wait=wait,
-                        depth=depth,
-                        busy_until=busy_until,
-                        heap=heap,
-                        next_seq_box=next_seq_box,
-                        deferred_once=deferred_once,
-                        trace=trace,
-                        latencies=latencies,
-                        stalenesses=stalenesses,
-                        refreshes_by_sample=refreshes_by_sample,
-                        report=report,
-                    )
             if len(heap) > heap_size_before:
                 # A deferral re-queued the event at the pre-event
                 # busy_until (which the defer branch returns unchanged);
@@ -471,17 +440,10 @@ class DeterministicScheduler:
         drain_index = 0
         while True:
             jobs_before = report.refresh_jobs
-            if obs is None:
+            with self._scope(f"drain:{drain_index:06d}"):
                 busy_until = self._run_one_refresh_job(
                     busy_until, trace, refreshes_by_sample, report
                 )
-            else:
-                with obs.tracer.trace_context(
-                    self._trace_id(f"drain:{drain_index:06d}")
-                ):
-                    busy_until = self._run_one_refresh_job(
-                        busy_until, trace, refreshes_by_sample, report
-                    )
             if report.refresh_jobs == jobs_before:
                 break
             drain_index += 1
@@ -513,9 +475,30 @@ class DeterministicScheduler:
         report.trace = trace
         return report
 
-    def _trace_id(self, label: str) -> str:
-        run_id = self._instr.tracer.run_id if self._instr is not None else ""
-        return f"{run_id or 'run'}:{label}"
+    def _scope(self, label: str, event: WorkloadEvent | None = None):
+        """The trace scope of one unit of work; a shared no-op when bare.
+
+        Instrumented, every span opened on the unit's behalf -- admission,
+        session read, triggered refresh, pool and device I/O -- shares one
+        deterministic trace id, and a workload event also gets its
+        ``serve.event`` span.
+        """
+        obs = self._instr
+        if obs is None:
+            return _BARE
+        stack = ExitStack()
+        run_id = obs.tracer.run_id or "run"
+        stack.enter_context(obs.tracer.trace_context(f"{run_id}:{label}"))
+        if event is not None:
+            stack.enter_context(
+                obs.span(
+                    "serve.event",
+                    kind=event.kind,
+                    seq=event.seq,
+                    sample=event.sample,
+                )
+            )
+        return stack
 
     def _sample_timeseries(
         self, now: float, depth: int, device_mark

@@ -218,10 +218,10 @@ class QuerySession:
         kind = maintainer.kind
         pending = maintainer.pending_log_elements
         # Effective staleness: how many of the rows this query will scan
-        # are out of date.  Uniform (kind None) passes pending through
-        # unchanged; a window sample caps it at W -- log rows beyond the
-        # window displace each other, not additional sample rows.
-        effective = pending if kind is None else kind.effective_staleness(pending)
+        # are out of date.  Uniform passes pending through unchanged; a
+        # window sample caps it at W -- log rows beyond the window
+        # displace each other, not additional sample rows.
+        effective = kind.effective_staleness(pending)
         refreshed = False
         if freshness.requires_refresh(effective, capacity=maintainer.sample.size):
             with maybe_span(
@@ -229,24 +229,17 @@ class QuerySession:
             ):
                 maintainer.refresh()
             refreshed = True
-            pending = maintainer.pending_log_elements
-            effective = (
-                pending if kind is None else kind.effective_staleness(pending)
-            )
+            effective = kind.effective_staleness(maintainer.pending_log_elements)
             if self._instr is not None:
                 self._c_forced.inc()
         with maybe_span(self._instr, "session.scan", sample=name):
             rows = list(maintainer.sample.scan())
-        if kind is not None:
-            # Non-uniform rows carry kind payloads (key, sequence); the
-            # aggregate estimators see the values, scaled to the kind's
-            # represented population (window: the window itself).
-            values = [kind.value_of(row) for row in rows]
-            population = kind.population()
-        else:
-            values = rows
-            population = maintainer.dataset_size
-        query: SampleQuery = SampleQuery(values, population, self._confidence)
+        # The estimators see bare values (uniform rows already are), scaled
+        # to the population the kind represents (window: the window).
+        population = kind.population()
+        query: SampleQuery = SampleQuery(
+            kind.values(rows), population, self._confidence
+        )
         if threshold is not None:
             query = query.where(lambda value: value >= threshold)
         if aggregate == "count":

@@ -21,7 +21,7 @@ from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracefile import SpanSinkJsonl
 from repro.rng.random_source import RandomSource
 from repro.serve.admission import AdmissionController
-from repro.serve.catalog import SampleCatalog
+from repro.serve.catalog import SampleCatalog, resolve_kind
 from repro.serve.scheduler import (
     DeterministicScheduler,
     ServeReport,
@@ -92,6 +92,14 @@ class SimConfig:
 
     def sample_names(self) -> list[str]:
         return [f"s{index:02d}" for index in range(self.samples)]
+
+    def validate(self) -> None:
+        """Raise ValueError for a kind, policy or SLO spec the run would
+        otherwise reject only once it has started."""
+        for spec in self.kinds:
+            resolve_kind(spec, self.algorithm, self.sample_size)
+        make_scheduling_policy(self.policy)
+        parse_slos(self.slos)
 
     def kind_for(self, index: int) -> str:
         """The kind spec of the index-th sample (round-robin assignment)."""

@@ -45,14 +45,17 @@ __all__ = [
     "CheckpointStore",
     "DualSlotCheckpointStore",
     "CheckpointError",
+    "KINDS",
 ]
 
 _MAGIC = b"RSMP"
 _VERSION = 3
 _STRATEGIES = ("immediate", "candidate", "full")
-# Must mirror repro.core.kinds.KINDS (append-only; asserted by the kind
-# tests).  Kept as a local tuple so the storage layer stays below core/.
-_KINDS = ("uniform", "weighted", "window")
+#: Registered sample kinds, in manifest index order: the position of a
+#: name is serialised into every manifest, so entries are only ever
+#: appended.  The one copy of the registry; repro.core.kinds imports it,
+#: so the storage layer stays below core/.
+KINDS = ("uniform", "weighted", "window")
 
 # magic(4) version(H) strategy(B) flags(B) sample_size(q) dataset_size(q)
 # dataset_at_refresh(q) log_count(q) inserts(q) refreshes(q)
@@ -100,7 +103,7 @@ class MaintenanceCheckpoint:
     def __post_init__(self) -> None:
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.kind_name not in _KINDS:
+        if self.kind_name not in KINDS:
             raise ValueError(f"unknown sample kind {self.kind_name!r}")
         for name in (
             "sample_size", "dataset_size", "dataset_size_at_refresh",
@@ -132,7 +135,7 @@ class MaintenanceCheckpoint:
             self.rng_spawn_count,
             self.rng_w if self.rng_w is not None else 0.0,
             self.rng_state.position,
-            _KINDS.index(self.kind_name),
+            KINDS.index(self.kind_name),
             self.kind_param,
             self.kind_threshold,
         )
@@ -168,7 +171,7 @@ class MaintenanceCheckpoint:
             )
         if not 0 <= strategy_idx < len(_STRATEGIES):
             raise CheckpointError(f"invalid strategy index {strategy_idx}")
-        if not 0 <= kind_idx < len(_KINDS):
+        if not 0 <= kind_idx < len(KINDS):
             raise CheckpointError(f"invalid sample-kind index {kind_idx}")
         key = _MT_WORDS.unpack_from(body, _HEADER.size)
         return cls(
@@ -185,7 +188,7 @@ class MaintenanceCheckpoint:
             rng_spawn_count=spawn_count,
             rng_state=MTState(key=key, position=position),
             rng_w=w if (flags & _FLAG_HAS_W) else None,
-            kind_name=_KINDS[kind_idx],
+            kind_name=KINDS[kind_idx],
             kind_param=kind_param,
             kind_threshold=kind_threshold,
         )

@@ -3,9 +3,8 @@
 The end-to-end deferred-vs-eager bit-identity lives in
 ``tests/properties/test_prop_kinds.py``; this module pins the unit-level
 contracts every kind must honour -- spec parsing, the one-draw-per-record
-discipline, per-kind plausibility (including the negative cases), the
-manifest round-trip and the registry's reach into the stratified
-composite.
+discipline, batch acceptance through the one candidate logger, per-kind
+plausibility (including the negative cases) and the manifest round-trip.
 """
 
 import math
@@ -14,18 +13,17 @@ import pytest
 
 from repro.core import kinds
 from repro.core.kinds import (
-    COMPOSITE_KINDS,
     DEFAULT_WEIGHT_MOD,
     KINDS,
-    KindCandidateLogger,
     UniformKind,
     WeightedKind,
     WindowKind,
+    checkpoint_kind_spec,
     eager_oracle,
-    make_composite,
     make_kind,
     parse_kind_spec,
 )
+from repro.core.logs import CandidateLogger
 from repro.core.reservoir import sample_is_plausible
 from repro.rng.random_source import RandomSource
 from repro.storage import superblock
@@ -41,7 +39,6 @@ class TestRegistry:
         assert parse_kind_spec("weighted") == ("weighted", None)
         assert parse_kind_spec("weighted:5") == ("weighted", 5)
         assert parse_kind_spec("window") == ("window", None)
-        assert parse_kind_spec("stratified") == ("stratified", None)
 
     def test_parse_rejects_unknown_and_bad_params(self):
         with pytest.raises(ValueError, match="unknown sample kind"):
@@ -50,6 +47,8 @@ class TestRegistry:
             parse_kind_spec("window:8")
         with pytest.raises(ValueError, match="takes no parameter"):
             parse_kind_spec("uniform:1")
+        with pytest.raises(ValueError, match="integer weight modulus"):
+            parse_kind_spec("weighted:x")
 
     def test_make_kind_builds_and_canonicalises(self):
         assert isinstance(make_kind("uniform", 16), UniformKind)
@@ -64,34 +63,23 @@ class TestRegistry:
         assert isinstance(window, WindowKind)
         assert window.spec() == "window"
 
-    def test_make_kind_rejects_composites_with_pointer(self):
-        with pytest.raises(ValueError, match="make_composite"):
+    def test_stratified_is_an_unknown_kind(self):
+        """Stratified samples are many reservoirs, not one sample file:
+        they are built as StratifiedSampleManager, never as a kind."""
+        with pytest.raises(ValueError, match="unknown sample kind"):
             make_kind("stratified", 16)
 
-    def test_make_composite_reaches_stratified(self):
-        """Satellite (a): the composite registry entry builds a working
-        stratified manager without importing it directly."""
-        from repro.core.stratified import StratifiedSampleManager
+    def test_manifest_kind_index_order_is_pinned(self):
+        """Manifests store a kind's index in this tuple: reordering it
+        would silently reinterpret every stored manifest."""
+        assert KINDS == ("uniform", "weighted", "window")
+        assert superblock.KINDS is KINDS
 
-        manager = make_composite(
-            "stratified",
-            group_of=lambda v: v % 3,
-            per_group_size=8,
-            codec=IntRecordCodec(),
-            rng=RandomSource(seed=9),
-        )
-        assert isinstance(manager, StratifiedSampleManager)
-        manager.insert_many(range(24))
-        assert set(manager.keys()) == {0, 1, 2}
-        assert sorted(manager.group(1).contents()) == [1, 4, 7, 10, 13, 16, 19, 22]
-        with pytest.raises(ValueError, match="unknown composite kind"):
-            make_composite("mystery")
-        assert "stratified" in COMPOSITE_KINDS
-
-    def test_manifest_kind_table_mirrors_registry(self):
-        """The storage layer keeps its own copy of the kind index table
-        (it must not import core/); any drift corrupts manifests."""
-        assert superblock._KINDS == KINDS
+    def test_checkpoint_kind_spec_round_trips(self):
+        for spec in ("uniform", "weighted", "weighted:5", "window"):
+            kind = make_kind(spec, 8)
+            checkpoint = _checkpoint(kind_name=kind.name, **kind.checkpoint_fields())
+            assert make_kind(checkpoint_kind_spec(checkpoint), 8).spec() == kind.spec()
 
     def test_capacity_validation(self):
         for spec in ("uniform", "weighted", "window"):
@@ -202,16 +190,57 @@ class TestWindowKind:
         assert restored.seen == checkpoint.dataset_size
 
 
+class TestUniformKind:
+    def test_build_initial_matches_build_reservoir(self):
+        from repro.core.reservoir import build_reservoir
+
+        kind = UniformKind(8)
+        rows = kind.build_initial(list(range(100)), RandomSource(seed=2))
+        expected, seen = build_reservoir(list(range(100)), 8, RandomSource(seed=2))
+        assert rows == expected
+        assert kind.seen == kind.population() == seen == 100
+        assert kind.checkpoint_fields()["pending_accept"] is None
+
+    def test_accept_many_is_skip_based_test_many(self):
+        from repro.core.reservoir import ReservoirSampler
+
+        kind = UniformKind(8, seen=100)
+        mirror = ReservoirSampler(8, RandomSource(seed=4), initial_size=100)
+        rng = RandomSource(seed=4)
+        elements = list(range(1000, 1500))
+        consumed, records = kind.accept_many(elements, rng, max_accepts=5)
+        expected_consumed, accepted = mirror.test_many(len(elements), 5)
+        assert consumed == expected_consumed
+        assert records == [elements[i] for i in accepted]
+        assert kind.seen == mirror.seen
+        assert kind.checkpoint_fields()["pending_accept"] == mirror.pending_accept
+        assert rng.snapshot() == mirror.rng.snapshot()
+
+    def test_rows_pass_through_unchanged(self):
+        kind = UniformKind(4)
+        rows = [5, 6, 7, 8]
+        assert kind.values(rows) is rows
+        assert kind.effective_staleness(1234) == 1234
+        assert kind.random_victims
+
+    def test_restore_state_resumes_sampler(self):
+        kind = UniformKind(8)
+        kind.restore_state(_checkpoint(kind_name="uniform"))
+        assert kind.seen == 40
+
+
 class TestKindCandidateLogger:
+    """The one CandidateLogger, driven by each kind's batch acceptance."""
+
     def _logger(self, kind):
         log = LogFile(SimulatedBlockDevice(CostModel(), "log"), kind.codec(16))
-        return KindCandidateLogger(log, kind, RandomSource(seed=11))
+        return CandidateLogger(log, kind, RandomSource(seed=11))
 
     def test_requires_full_sample(self):
-        kind = WindowKind(8)  # seen == 0 < capacity
-        log = LogFile(SimulatedBlockDevice(CostModel(), "log"), kind.codec(16))
-        with pytest.raises(ValueError, match="existing full sample"):
-            KindCandidateLogger(log, kind, RandomSource(seed=11))
+        for kind in (WindowKind(8), UniformKind(8)):  # seen == 0 < capacity
+            log = LogFile(SimulatedBlockDevice(CostModel(), "log"), kind.codec(16))
+            with pytest.raises(ValueError, match="existing sample"):
+                CandidateLogger(log, kind, RandomSource(seed=11))
 
     def test_window_logs_everything(self):
         kind = WindowKind(4)
@@ -222,7 +251,7 @@ class TestKindCandidateLogger:
         assert (consumed, accepted) == (3, 3)
         assert logger.log.peek_all() == [(100, 8), (101, 9), (102, 10), (103, 11)]
         assert logger.dataset_size == 12
-        assert logger.pending_accept is None
+        assert kind.checkpoint_fields()["pending_accept"] is None
 
     def test_insert_many_stops_right_after_quota(self):
         kind = WindowKind(4)
@@ -326,7 +355,7 @@ def _row(kind, index):
     return (index, index)
 
 
-def _checkpoint(**kind_fields):
+def _checkpoint(**fields):
     rng = RandomSource(seed=21)
     state, w = rng.snapshot()
     return superblock.MaintenanceCheckpoint(
@@ -337,11 +366,10 @@ def _checkpoint(**kind_fields):
         log_count=3,
         inserts=8,
         refreshes=1,
-        pending_accept=None,
         ops_since_refresh=4,
         rng_seed=rng.seed,
         rng_spawn_count=0,
         rng_state=state,
         rng_w=w,
-        **kind_fields,
+        **{"pending_accept": None, **fields},
     )

@@ -65,6 +65,14 @@ class TestFleetSimCommand:
         assert main(ARGS + ["--quota", "nonsense"]) == 2
         assert "quota" in capsys.readouterr().err
 
+    def test_kind_without_kind_capable_algorithm_fails_before_the_run(self, capsys):
+        args = ARGS + ["--engine", "full", "--kinds", "weighted", "--algorithm", "stack"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fleet-sim: ")
+        assert "kind-capable" in captured.err
+        assert captured.out == ""
+
     def test_bad_width_fails_cleanly(self, capsys):
         assert main(ARGS + ["--fanout-width", "banana"]) == 2
         assert "width" in capsys.readouterr().err

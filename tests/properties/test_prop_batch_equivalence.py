@@ -145,7 +145,7 @@ class TestBatchScalarEquivalence:
         for start in range(0, len(stream), batch_size):
             batch.insert_many(stream[start : start + batch_size])
 
-        assert batch._log_file().peek_all() == scalar._log_file().peek_all()
+        assert batch.log.peek_all() == scalar.log.peek_all()
 
     @given(
         strategy=st.sampled_from(["candidate", "full"]),

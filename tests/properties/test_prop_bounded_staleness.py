@@ -15,6 +15,7 @@ served at, and for bounded queries that number can never exceed the bound.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.serve.catalog import KIND_ALGORITHMS
 from repro.serve.session import Freshness
 from repro.serve.sim import SimConfig, run_simulation
 
@@ -66,7 +67,6 @@ KIND_MIXES = (
     ("weighted:5", "window"),
     ("uniform", "weighted", "window"),
 )
-KIND_ALGORITHMS = ("naive", "array")
 
 
 @given(
@@ -116,10 +116,9 @@ def build_backlog(maintainer, pending: int) -> None:
     position, so the loop stops after the same element as one ``insert``
     per value would, in the same state (see the test below).
     """
-    logger = maintainer._candidate_logger
     value = maintainer.dataset_size
     while maintainer.pending_log_elements < pending:
-        next_accept = logger.pending_accept
+        next_accept = maintainer.kind.sampler.pending_accept
         count = 1 if next_accept is None else next_accept - maintainer.dataset_size
         maintainer.insert_many(range(value, value + count))
         value += count

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 ARGS = ["serve-sim", "--seed", "7", "--events", "80", "--samples", "2"]
@@ -64,3 +66,25 @@ class TestServeSimCommand:
         except SystemExit:
             pass
         assert "serve-sim" in capsys.readouterr().out
+
+
+class TestServeSimUsageErrors:
+    """Bad specs exit 2 with a one-line message, before any run starts."""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--kinds", "bogus"], "unknown sample kind 'bogus'"),
+            (["--kinds", "weighted:x"], "integer weight modulus"),
+            (["--kinds", "weighted", "--algorithm", "stack"], "kind-capable"),
+            (["--policy", "bogus"], "unknown scheduling policy"),
+            (["--slo", "bogus"], "bad SLO spec"),
+        ],
+    )
+    def test_bad_spec_is_a_usage_error(self, flags, message, capsys):
+        assert main(ARGS + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("serve-sim: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -39,12 +39,14 @@ class TestCatalogKinds:
         catalog.create("v", sample_size=32, algorithm="naive", seed=2, kind="window")
         catalog.create("u", sample_size=32, algorithm="stack", seed=3, kind="uniform")
         # weighted:16 is the default modulus, so the spec canonicalises.
-        assert catalog.entry("w").kind == "weighted"
-        assert catalog.entry("w").kind_obj.weight_mod == 16
-        assert catalog.entry("v").kind == "window"
-        assert catalog.entry("u").kind == "uniform"
-        assert catalog.entry("u").kind_obj is None
-        assert catalog.get("u").kind is None
+        assert catalog.entry("w").kind.spec() == "weighted"
+        assert catalog.entry("w").kind.weight_mod == 16
+        assert catalog.entry("v").kind.spec() == "window"
+        assert catalog.entry("u").kind.spec() == "uniform"
+        # Every sample, uniform included, shares one live kind between its
+        # catalog entry and its maintainer.
+        for name in ("w", "v", "u"):
+            assert catalog.get(name).kind is catalog.entry(name).kind
 
     def test_non_uniform_kind_requires_kind_capable_algorithm(self):
         catalog = SampleCatalog()
@@ -89,7 +91,7 @@ class TestKindManifestRecovery:
         # crashed maintainer's in-memory one.
         assert recovered.kind is not None
         assert recovered.kind is not mirror.get("s0").kind
-        assert crashed.entry("s0").kind_obj is recovered.kind
+        assert crashed.entry("s0").kind is recovered.kind
         mirror.ingest("s0", suffix)
         crashed.ingest("s0", suffix)
         assert (
@@ -134,7 +136,7 @@ class TestKindManifestRecovery:
         target = SampleCatalog()
         adopted = target.adopt("s0", images, algorithm="array")
         expected = "weighted" if kind == "weighted:16" else kind
-        assert adopted.kind == expected
+        assert adopted.kind.spec() == expected
         assert target.get("s0").sample.peek_all() == source.get("s0").sample.peek_all()
         # The adopted sample continues like the source.
         source.ingest("s0", range(base + 100, base + 200))
